@@ -1,20 +1,19 @@
-// Late-materialization scan ablation (Section 6.1, DESIGN.md §7) and the
+// Late-materialization scan sweep (Section 6.1, DESIGN.md §7) and the
 // compressed-execution sweep (DESIGN.md §13).
 //
 // Part 1 (BM_ScanDecode) sweeps predicate selectivity from 0.01% to 100%
 // over a projection with one filter column and three payload columns (int,
-// float, string), and runs each point both ways: late materialization
-// (payload columns decoded only for surviving rows) versus eager decode
-// (every column of every block decoded before filtering — the legacy
-// behavior, kept behind ScanSpec::eager_decode). The string payload is
-// where eager decode bleeds: every unselected row still heap-allocates a
-// std::string.
+// float, string); payload columns are decoded only for surviving rows.
 //
-// Part 2 (BM_Compressed*) is the encoded-eval versus decode-then-eval
-// sweep: predicate + COUNT(*) over each encoding (RLE / BlockDict / Delta /
-// plain) across the same selectivity range, plus group-by on a dictionary
-// key, each point run once on encoded views and once decode-first. CI
-// emits this part as BENCH_compressed_exec.json.
+// Part 2 (BM_Compressed*) sweeps predicate + COUNT(*) over each encoding
+// (RLE / BlockDict / Delta / plain) across the same selectivity range, plus
+// group-by on a dictionary key, all on encoded views. CI emits this part as
+// BENCH_compressed_exec.json.
+//
+// The eager-decode and decode-first baselines these sweeps were once run
+// against are historical: their numbers stay in BENCH_scan_late_mat.json
+// and BENCH_compressed_exec.json, and re-measuring them means building an
+// older revision.
 #include <benchmark/benchmark.h>
 
 #include "api/database.h"
@@ -62,7 +61,6 @@ Fixture& GetFixture() {
 void BM_ScanDecode(benchmark::State& state) {
   auto& f = GetFixture();
   int64_t sel_ppm = state.range(0);  // selectivity in parts per million
-  bool eager = state.range(1) != 0;
   int64_t threshold = kKeySpace * sel_ppm / 1000000;
 
   uint64_t rows_out = 0;
@@ -74,7 +72,6 @@ void BM_ScanDecode(benchmark::State& state) {
     spec.output_names = {"k", "a", "f", "s"};
     spec.output_types = {TypeId::kInt64, TypeId::kInt64, TypeId::kFloat64,
                          TypeId::kString};
-    spec.eager_decode = eager;
     auto pred = Cmp(CompareOp::kLt, Col("k"), Lit(Value::Int64(threshold)));
     BindSchema schema;
     schema.Add("k", TypeId::kInt64);
@@ -96,21 +93,16 @@ void BM_ScanDecode(benchmark::State& state) {
     benchmark::DoNotOptimize(rows_out);
   }
   state.SetItemsProcessed(state.iterations() * kRows);  // scanned rows/sec
-  state.SetLabel("sel=" + std::to_string(sel_ppm / 10000.0) + "%/" +
-                 (eager ? "eager" : "late") + "/rows_out=" +
-                 std::to_string(rows_out));
+  state.SetLabel("sel=" + std::to_string(sel_ppm / 10000.0) +
+                 "%/rows_out=" + std::to_string(rows_out));
 }
 
 BENCHMARK(BM_ScanDecode)
-    ->ArgNames({"ppm", "eager"})
-    ->Args({100, 0})       // 0.01%
-    ->Args({100, 1})
-    ->Args({10000, 0})     // 1%
-    ->Args({10000, 1})
-    ->Args({100000, 0})    // 10%
-    ->Args({100000, 1})
-    ->Args({1000000, 0})   // 100%
-    ->Args({1000000, 1})
+    ->ArgNames({"ppm"})
+    ->Arg(100)      // 0.01%
+    ->Arg(10000)    // 1%
+    ->Arg(100000)   // 10%
+    ->Arg(1000000)  // 100%
     ->Unit(benchmark::kMillisecond);
 
 // ---- compressed execution sweep (DESIGN.md §13) ----------------------------
@@ -172,27 +164,23 @@ const char* kEncCols[] = {"r", "s", "dv", "p"};
 const TypeId kEncTypes[] = {TypeId::kInt64, TypeId::kString, TypeId::kInt64,
                             TypeId::kInt64};
 
-ScanSpec OneColumnScan(CompressedFixture& f, int enc_col, bool encoded) {
+ScanSpec OneColumnScan(CompressedFixture& f, int enc_col) {
   ScanSpec spec;
   spec.storage = f.ps;
   spec.projection_columns = {enc_col};
   spec.output_names = {kEncCols[enc_col]};
   spec.output_types = {kEncTypes[enc_col]};
-  spec.encoded_output = encoded;
-  spec.eager_decode = !encoded;
+  spec.encoded_output = true;
   return spec;
 }
 
-// Predicate + COUNT(*) on one column per encoding. `enc`=1 keeps blocks
-// encoded through predicate and aggregation (one compare per RLE run / per
-// dictionary entry, COUNT by run length); `enc`=0 is the decode-then-eval
-// baseline (global toggle off + eager decode).
+// Predicate + COUNT(*) on one column per encoding: blocks stay encoded
+// through predicate and aggregation (one compare per RLE run / per
+// dictionary entry, COUNT by run length).
 void BM_CompressedPredCount(benchmark::State& state) {
   auto& f = GetCompressedFixture();
   int enc_col = static_cast<int>(state.range(0));
   int64_t sel_ppm = state.range(1);
-  bool encoded = state.range(2) != 0;
-  SetEncodedExecutionEnabled(encoded);
   // Thresholds picked so every encoding sweeps the same selectivity: the
   // int columns (`r` delta `dv` plain `p`) and the dictionary strings all
   // span a 1000-value domain.
@@ -219,7 +207,7 @@ void BM_CompressedPredCount(benchmark::State& state) {
   uint64_t groups = 0;
   for (auto _ : state) {
     ExecContext ctx = f.db->MakeExecContext();
-    ScanSpec spec = OneColumnScan(f, enc_col, encoded);
+    ScanSpec spec = OneColumnScan(f, enc_col);
     spec.predicate = CloneExpr(pred);
     GroupBySpec gspec;
     gspec.aggs.push_back({AggKind::kCountStar, -1, TypeId::kInt64});
@@ -233,19 +221,15 @@ void BM_CompressedPredCount(benchmark::State& state) {
     groups = rows.value().NumRows();
     benchmark::DoNotOptimize(groups);
   }
-  SetEncodedExecutionEnabled(true);
   state.SetItemsProcessed(state.iterations() * kCRows);
   state.SetLabel(std::string(kEncNames[enc_col]) + "/sel=" +
-                 std::to_string(sel_ppm / 10000.0) + "%/" +
-                 (encoded ? "encoded" : "decode-first"));
+                 std::to_string(sel_ppm / 10000.0) + "%");
 }
 
-// Group-by on the dictionary key: encoded mode aggregates through the dense
-// code → group-id map; the baseline decodes every string first.
+// Group-by on the dictionary key: aggregates through the dense code →
+// group-id map without decoding a string.
 void BM_CompressedGroupByDict(benchmark::State& state) {
   auto& f = GetCompressedFixture();
-  bool encoded = state.range(0) != 0;
-  SetEncodedExecutionEnabled(encoded);
 
   uint64_t groups = 0;
   for (auto _ : state) {
@@ -255,8 +239,7 @@ void BM_CompressedGroupByDict(benchmark::State& state) {
     spec.projection_columns = {1, 3};
     spec.output_names = {"s", "p"};
     spec.output_types = {TypeId::kString, TypeId::kInt64};
-    spec.encoded_output = encoded;
-    spec.eager_decode = !encoded;
+    spec.encoded_output = true;
     GroupBySpec gspec;
     gspec.group_columns = {0};
     gspec.aggs.push_back({AggKind::kCountStar, -1, TypeId::kInt64});
@@ -271,32 +254,16 @@ void BM_CompressedGroupByDict(benchmark::State& state) {
     groups = rows.value().NumRows();
     benchmark::DoNotOptimize(groups);
   }
-  SetEncodedExecutionEnabled(true);
   state.SetItemsProcessed(state.iterations() * kCRows);
-  state.SetLabel(std::string("dict-group-by/") +
-                 (encoded ? "encoded" : "decode-first") + "/groups=" +
-                 std::to_string(groups));
-}
-
-void CompressedArgs(benchmark::internal::Benchmark* b) {
-  for (int enc = 0; enc < 4; ++enc) {
-    for (int64_t ppm : {100, 10000, 500000, 1000000}) {  // 0.01% 1% 50% 100%
-      b->Args({enc, ppm, 0});
-      b->Args({enc, ppm, 1});
-    }
-  }
+  state.SetLabel("dict-group-by/groups=" + std::to_string(groups));
 }
 
 BENCHMARK(BM_CompressedPredCount)
-    ->ArgNames({"enc", "ppm", "encoded"})
-    ->Apply(CompressedArgs)
+    ->ArgNames({"enc", "ppm"})
+    ->ArgsProduct({{0, 1, 2, 3}, {100, 10000, 500000, 1000000}})  // 0.01% 1% 50% 100%
     ->Unit(benchmark::kMillisecond);
 
-BENCHMARK(BM_CompressedGroupByDict)
-    ->ArgNames({"encoded"})
-    ->Args({0})
-    ->Args({1})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CompressedGroupByDict)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace stratica

@@ -1,7 +1,8 @@
-// Sort/merge subsystem sweep (DESIGN.md §8): normalized-key sort vs the
-// comparator baseline across row counts and key shapes, external sort
-// across run counts, the fused top-k path, and the k-way loser-tree merge
-// kernel A/B. Results land in BENCH_sort_merge.json.
+// Sort/merge subsystem sweep (DESIGN.md §8): normalized-key sort across
+// row counts and key shapes, external sort across run counts, the fused
+// top-k path, and the k-way loser-tree merge kernel across fan-ins. Results
+// land in BENCH_sort_merge.json (its comparator-baseline rows are
+// historical; compare against an older revision to re-measure them).
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -102,29 +103,24 @@ class BlockSliceOperator : public Operator {
   size_t cursor_ = 0;
 };
 
-// --- ORDER BY kernel: permutation sort, normalized keys vs comparator -------
+// --- ORDER BY kernel: normalized-key permutation sort -----------------------
 
 void BM_OrderBy(benchmark::State& state) {
   size_t rows = static_cast<size_t>(state.range(0));
   KeyShape shape = static_cast<KeyShape>(state.range(1));
-  bool normalized = state.range(2) != 0;
   const RowBlock& input = InputBlock(rows);
   std::vector<SortKey> keys = KeysFor(shape);
-  SetNormalizedKeySortEnabled(normalized);
   for (auto _ : state) {
     auto perm = ComputeSortPermutationDirected(input, keys);
     RowBlock sorted = ApplyPermutation(input, perm);
     benchmark::DoNotOptimize(sorted.NumRows());
   }
-  SetNormalizedKeySortEnabled(true);
   state.SetItemsProcessed(static_cast<int64_t>(rows) * state.iterations());
-  state.SetLabel(std::string(ShapeName(shape)) +
-                 (normalized ? "/normalized" : "/comparator"));
+  state.SetLabel(ShapeName(shape));
 }
 BENCHMARK(BM_OrderBy)
-    ->ArgsProduct({{1 << 20}, {kInt1, kIntMulti, kFloat1, kString1, kMixed}, {0, 1}})
-    ->Args({10 << 20, kIntMulti, 0})
-    ->Args({10 << 20, kIntMulti, 1})
+    ->ArgsProduct({{1 << 20}, {kInt1, kIntMulti, kFloat1, kString1, kMixed}})
+    ->Args({10 << 20, kIntMulti})
     ->Unit(benchmark::kMillisecond);
 
 // --- External sort: run counts (spill + k-way loser-tree merge) -------------
@@ -189,12 +185,11 @@ void BM_TopK(benchmark::State& state) {
 BENCHMARK(BM_TopK)->Arg(0)->Arg(10)->Arg(1000)->Arg(100000)->Unit(
     benchmark::kMillisecond);
 
-// --- Merge kernel: k-way loser tree vs comparator scan-all loop -------------
+// --- Merge kernel: k-way loser tree ------------------------------------------
 
 void BM_KWayMerge(benchmark::State& state) {
   size_t rows = 2 << 20;
   size_t k = static_cast<size_t>(state.range(0));
-  bool loser_tree = state.range(1) != 0;
   const RowBlock& input = InputBlock(rows);
   std::vector<SortKey> keys = KeysFor(kIntMulti);
   // Pre-sort k runs (round-robin split) outside the timed region.
@@ -217,59 +212,35 @@ void BM_KWayMerge(benchmark::State& state) {
                                TypeId::kFloat64, TypeId::kString};
   for (auto _ : state) {
     size_t total = 0;
-    if (loser_tree) {
-      std::vector<std::unique_ptr<MergeInput>> inputs;
-      for (const auto& run : runs) {
-        inputs.push_back(std::make_unique<BlockMergeInput>(run));
-      }
-      LoserTreeMerger merger(std::move(inputs), keys);
-      if (!merger.Init().ok()) {
-        state.SkipWithError("init failed");
-        break;
-      }
-      RowBlock out(types);
-      bool merge_ok = true;
-      while (merge_ok && !merger.Done()) {
-        out.Clear();
-        merge_ok = merger.Next(&out, 4096).ok();
-        total += out.NumRows();
-      }
-      if (!merge_ok) {
-        state.SkipWithError("merge failed");
-        break;
-      }
-    } else {
-      // Baseline: the scan-all-sources comparator loop every consumer used
-      // before the loser tree (k-1 type-switch compares per output row).
-      std::vector<size_t> cursors(k, 0);
-      RowBlock out(types);
-      for (;;) {
-        if (out.NumRows() >= 4096) {
-          total += out.NumRows();
-          out.Clear();
-        }
-        int best = -1;
-        for (size_t s = 0; s < k; ++s) {
-          if (cursors[s] >= runs[s].NumRows()) continue;
-          if (best < 0 ||
-              CompareRowsDirected(runs[s], cursors[s], runs[best], cursors[best],
-                                  keys) < 0) {
-            best = static_cast<int>(s);
-          }
-        }
-        if (best < 0) break;
-        out.AppendRowFrom(runs[best], cursors[best]);
-        ++cursors[best];
-      }
+    std::vector<std::unique_ptr<MergeInput>> inputs;
+    for (const auto& run : runs) {
+      inputs.push_back(std::make_unique<BlockMergeInput>(run));
+    }
+    LoserTreeMerger merger(std::move(inputs), keys);
+    if (!merger.Init().ok()) {
+      state.SkipWithError("init failed");
+      break;
+    }
+    RowBlock out(types);
+    bool merge_ok = true;
+    while (merge_ok && !merger.Done()) {
+      out.Clear();
+      merge_ok = merger.Next(&out, 4096).ok();
       total += out.NumRows();
+    }
+    if (!merge_ok) {
+      state.SkipWithError("merge failed");
+      break;
     }
     benchmark::DoNotOptimize(total);
   }
   state.SetItemsProcessed(static_cast<int64_t>(rows) * state.iterations());
-  state.SetLabel(loser_tree ? "loser_tree" : "scan_all_baseline");
 }
 BENCHMARK(BM_KWayMerge)
-    ->ArgsProduct({{2, 8, 32, 128}, {0, 1}})
+    ->Arg(2)
+    ->Arg(8)
+    ->Arg(32)
+    ->Arg(128)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

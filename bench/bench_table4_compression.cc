@@ -14,7 +14,6 @@
 
 #include "api/database.h"
 #include "common/rng.h"
-#include "exec/scan.h"
 
 namespace stratica {
 namespace {
@@ -170,13 +169,12 @@ int main() {
     std::printf("  (paper: metric 5KB via RLE, meter 35MB, timestamps 20MB, "
                 "values 363MB of 418MB total)\n");
 
-    // Query time over the compressed store (DESIGN.md §13): the same
-    // queries run on encoded views versus the decode-first pipeline. The
-    // RLE'd metric column is the paper's operating argument for Table 4:
-    // a predicate plus COUNT over 4M rows touches only ~6000 runs, so
-    // compression is a CPU win, not just a storage win. The value
-    // aggregate is the honest counterpoint — plain float payloads decode
-    // either way, so encoded execution must not slow them down.
+    // Query time over the compressed store (DESIGN.md §13), on encoded
+    // views. The RLE'd metric column is the paper's operating argument for
+    // Table 4: a predicate plus COUNT over 4M rows touches only ~6000 runs,
+    // so compression is a CPU win, not just a storage win. The value
+    // aggregate is the counterpoint — plain float payloads decode either
+    // way.
     struct TimedQuery {
       const char* label;
       const char* sql;
@@ -192,23 +190,17 @@ int main() {
     std::printf("\n  query time over the compressed store (%d rows):\n",
                 generated);
     for (const auto& tq : queries) {
-      double best_ms[2] = {1e30, 1e30};
-      for (int encoded = 0; encoded < 2; ++encoded) {
-        SetEncodedExecutionEnabled(encoded != 0);
-        for (int rep = 0; rep < 3; ++rep) {
-          auto start = std::chrono::steady_clock::now();
-          auto r = db.Execute(tq.sql);
-          auto ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-          if (!r.ok()) return 1;
-          best_ms[encoded] = std::min(best_ms[encoded], ms);
-        }
+      double best_ms = 1e30;
+      for (int rep = 0; rep < 3; ++rep) {
+        auto start = std::chrono::steady_clock::now();
+        auto r = db.Execute(tq.sql);
+        auto ms = std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
+        if (!r.ok()) return 1;
+        best_ms = std::min(best_ms, ms);
       }
-      SetEncodedExecutionEnabled(true);
-      std::printf("    %-22s decode-first %8.1f ms   encoded %8.1f ms   "
-                  "(%.2fx)\n",
-                  tq.label, best_ms[0], best_ms[1], best_ms[0] / best_ms[1]);
+      std::printf("    %-22s %8.1f ms\n", tq.label, best_ms);
     }
   }
   return 0;

@@ -432,6 +432,7 @@ Result<uint64_t> Database::ApplyDelete(const std::string& table, const ExprPtr& 
         for (size_t c = 0; c < ps->config().column_names.size(); ++c)
           schema.Add(ps->config().column_names[c], ps->config().column_types[c]);
         STRATICA_RETURN_NOT_OK(BindExpr(pred, schema));
+        STRATICA_RETURN_NOT_OK(RequireBoolean(*pred, "WHERE"));
         STRATICA_RETURN_NOT_OK(EvalPredicate(*pred, rows, &sel));
       } else if (use_content_match) {
         // Resolve which table column feeds each projection column.

@@ -45,9 +45,8 @@ Result<AdmissionTicket> ResourceManager::Admit(size_t requested_bytes) {
     return reserved_ + bytes <= cfg_.memory_pool_bytes;
   };
 
-  bool waited = false;
+  if (!admissible()) ++stats_.queued;
   while (!admissible()) {
-    waited = true;
     if (cv_.wait_until(lock, deadline) == std::cv_status::timeout && !admissible()) {
       queue_.erase(std::find(queue_.begin(), queue_.end(), ticket));
       ++stats_.timeouts;
@@ -62,7 +61,6 @@ Result<AdmissionTicket> ResourceManager::Admit(size_t requested_bytes) {
   reserved_ += bytes;
   ++active_;
   ++stats_.admitted;
-  if (waited) ++stats_.queued;
   stats_.peak_reserved_bytes = std::max<uint64_t>(stats_.peak_reserved_bytes, reserved_);
   stats_.peak_active_queries = std::max<uint64_t>(stats_.peak_active_queries, active_);
   // The next waiter may also fit (e.g. a slot-capped pool with room left).

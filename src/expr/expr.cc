@@ -242,6 +242,13 @@ namespace {
 bool IsNumeric(TypeId t) { return t == TypeId::kInt64 || t == TypeId::kFloat64; }
 }  // namespace
 
+Status RequireBoolean(const Expr& e, const char* clause) {
+  if (e.type == TypeId::kBool) return Status::OK();
+  if (e.kind == ExprKind::kLiteral && e.literal.is_null()) return Status::OK();
+  return Status::InvalidArgument(clause, " must be a boolean expression, not ",
+                                 TypeName(e.type));
+}
+
 Status BindExpr(Expr* e, const BindSchema& schema) {
   for (auto& c : e->children) STRATICA_RETURN_NOT_OK(BindExpr(c.get(), schema));
   switch (e->kind) {

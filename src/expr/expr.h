@@ -111,6 +111,11 @@ inline Status BindExpr(const ExprPtr& e, const BindSchema& schema) {
   return BindExpr(e.get(), schema);
 }
 
+/// A bound WHERE, ON or HAVING expression keeps or drops rows, so it must be
+/// boolean (a bare NULL literal, which keeps nothing, is allowed too);
+/// InvalidArgument naming `clause` otherwise.
+Status RequireBoolean(const Expr& e, const char* clause);
+
 /// Collect the column indexes referenced by a bound expression.
 void CollectColumns(const Expr& e, std::vector<int>* out);
 

@@ -150,6 +150,9 @@ Result<PhysicalPlan> Planner::PlanSelect(const SelectStmt& stmt,
                                          size_t intra_node_parallelism) {
   Catalog* catalog = cluster_->catalog();
   Scope scope;
+  if (stmt.from.empty()) {
+    return Status::InvalidArgument("SELECT without FROM is not supported");
+  }
 
   // ---- resolve FROM ---------------------------------------------------------
   for (const auto& ref : stmt.from) {
@@ -170,6 +173,7 @@ Result<PhysicalPlan> Planner::PlanSelect(const SelectStmt& stmt,
   if (bound.where) {
     ExprPtr where = CloneExpr(bound.where);
     STRATICA_RETURN_NOT_OK(BindExpr(where, scope.schema));
+    STRATICA_RETURN_NOT_OK(RequireBoolean(*where, "WHERE"));
     SplitConjuncts(where, &conjuncts);
   }
   // ON clauses: equality keys + residuals.
@@ -224,6 +228,7 @@ Result<PhysicalPlan> Planner::PlanSelect(const SelectStmt& stmt,
     if (!stmt.from[t].on) continue;
     ExprPtr on = CloneExpr(stmt.from[t].on);
     STRATICA_RETURN_NOT_OK(BindExpr(on, scope.schema));
+    STRATICA_RETURN_NOT_OK(RequireBoolean(*on, "ON"));
     std::vector<ExprPtr> on_conjuncts;
     SplitConjuncts(on, &on_conjuncts);
     for (auto& c : on_conjuncts) classify(c);
@@ -761,10 +766,10 @@ Result<PhysicalPlan> Planner::PlanSelect(const SelectStmt& stmt,
   // ---- intra-node fan-out gate (DESIGN.md §12) -------------------------------
   // A unit pipeline splits into `fanout` morsel-driven fragments when the
   // fact is big enough to amortize the extra pipelines and nothing in the
-  // plan needs what fragments cannot give: order-carrying scans
-  // (sorted_output / rle_passthrough) would interleave arbitrarily under the
-  // ParallelUnion, and RIGHT/FULL joins must emit unmatched build rows
-  // exactly once, which a build shared across fragments cannot.
+  // plan needs what fragments cannot give: sorted scans would interleave
+  // arbitrarily under the ParallelUnion, and RIGHT/FULL joins must emit
+  // unmatched build rows exactly once, which a build shared across
+  // fragments cannot.
   size_t fanout = intra_node_parallelism == 0 ? 1 : intra_node_parallelism;
   bool morsel_bypass = false;
   if (fanout > 1) {
@@ -775,9 +780,8 @@ Result<PhysicalPlan> Planner::PlanSelect(const SelectStmt& stmt,
     // Order-carrying scan shapes are planned serial *explicitly* and
     // recorded (PhysicalPlan::morsel_bypass → ExecStats::morsel_bypasses),
     // not silently dropped, so fan-out accounting stays honest.
-    bool order_carrying = ft.sorted_output || ft.rle_passthrough;
-    if (ok && order_carrying) morsel_bypass = true;
-    ok &= !order_carrying;
+    if (ok && ft.sorted_output) morsel_bypass = true;
+    ok &= !ft.sorted_output;
     for (const auto& step : *steps) {
       ok &= step.jspec.type != JoinType::kRight &&
             step.jspec.type != JoinType::kFull;
@@ -790,8 +794,7 @@ Result<PhysicalPlan> Planner::PlanSelect(const SelectStmt& stmt,
   // the chain is encoded-aware: single-table aggregation stacks (ExprEval
   // passthrough → Filter → GroupBy all consume runs/codes directly). Joins,
   // window functions and plain row-returning SELECTs keep decoded scans —
-  // their consumers want flat vectors. The scan re-checks the process-wide
-  // switch at run time, so the A/B baseline needs no replan.
+  // their consumers want flat vectors.
   {
     bool agg_query = !stmt.group_by.empty() || !stmt.having_aggs.empty();
     bool window_query = false;
@@ -800,8 +803,7 @@ Result<PhysicalPlan> Planner::PlanSelect(const SelectStmt& stmt,
       window_query |= item.kind == SelectItem::Kind::kWindow;
     }
     ScanSpec& ft = table_plans[fact].spec;
-    if (agg_query && !window_query && steps->empty() && !ft.sorted_output &&
-        !ft.rle_passthrough && EncodedExecutionEnabled()) {
+    if (agg_query && !window_query && steps->empty() && !ft.sorted_output) {
       ft.encoded_output = true;
     }
   }
@@ -1027,6 +1029,7 @@ Result<PhysicalPlan> Planner::PlanSelect(const SelectStmt& stmt,
       }
       ExprPtr having = CloneExpr(stmt.having);
       STRATICA_RETURN_NOT_OK(BindExpr(having, having_schema));
+      STRATICA_RETURN_NOT_OK(RequireBoolean(*having, "HAVING"));
       root = std::make_unique<FilterOperator>(std::move(root), having);
     }
 

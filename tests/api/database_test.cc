@@ -192,5 +192,39 @@ TEST_F(DatabaseFixture, ErrorsAreCleanStatuses) {
   EXPECT_FALSE(db_->Execute("SELECT region FROM sales GROUP BY cust").ok());
 }
 
+// Regression: a SELECT without FROM (including one the parser produces from
+// a truncated FROM clause) used to crash the planner on an empty join order.
+TEST_F(DatabaseFixture, SelectWithoutFromIsInvalidArgument) {
+  for (const char* sql : {"SELECT 1", "SELECT SUM(a) LIMIT FROM"}) {
+    auto r = db_->Execute(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+        << sql << ": " << r.status().ToString();
+  }
+}
+
+// Regression: a non-boolean WHERE used to pass analysis and crash the
+// predicate evaluator on a non-empty table (SELECT, DELETE and UPDATE); ON
+// and HAVING get the same check.
+TEST_F(DatabaseFixture, NonBooleanPredicatesAreInvalidArgument) {
+  for (const char* sql :
+       {"SELECT id FROM sales WHERE 'x'", "SELECT id FROM sales WHERE cust",
+        "SELECT id FROM sales WHERE amount + 1",
+        "SELECT s.id FROM sales s JOIN customers c ON c.tier",
+        "SELECT cust, COUNT(*) FROM sales GROUP BY cust HAVING SUM(amount)",
+        "DELETE FROM sales WHERE 'x'", "UPDATE sales SET cust = 1 WHERE cust"}) {
+    auto r = db_->Execute(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+        << sql << ": " << r.status().ToString();
+  }
+  // Boolean predicates still run, and a bare NULL keeps no rows.
+  EXPECT_EQ(Exec("SELECT id FROM sales WHERE cust = 7 AND amount > 0").NumRows(), 25u);
+  EXPECT_EQ(Exec("SELECT id FROM sales WHERE NULL").NumRows(), 0u);
+  // The rejected DML left every row in place.
+  EXPECT_EQ(Exec("SELECT COUNT(*) FROM sales").At(0, 0).i64(), 3000);
+  EXPECT_EQ(Exec("SELECT COUNT(*) FROM sales WHERE cust = 1").At(0, 0).i64(), 30);
+}
+
 }  // namespace
 }  // namespace stratica

@@ -1,29 +1,31 @@
 // Compressed-execution differential sweep (DESIGN.md §13): every query
-// shape (predicate, aggregate, group-by, order-by, having) runs twice —
-// once with encoded execution on (the default) and once with the global
-// toggle off, which restores the decode-first pipeline — over projections
-// that pin each column to a specific encoding (RLE, BlockDict, Delta,
-// plain). Results must match cell for cell, and queries expected to ride
-// an encoded fast path must report rows_processed_encoded > 0.
+// shape (predicate, aggregate, group-by, order-by, having) runs over a
+// projection that pins each column to a specific encoding (RLE, BlockDict,
+// Delta, plain) and over a twin table holding the same rows with every
+// column plain. The twin never reaches an encoded fast path (it must report
+// rows_processed_encoded == 0), so it is an oracle that shares no encoded
+// code with the run under test. Results must match cell for cell, and
+// queries expected to ride an encoded fast path must report
+// rows_processed_encoded > 0.
 //
-// A second table repeats the sweep with NULLs sprinkled through every
-// nullable column, and operator-level tests cross-check the scan's
-// encoded_output contract against the eager_decode oracle directly.
+// A second pair of tables repeats the sweep with NULLs sprinkled through
+// every nullable column.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <string>
 #include <vector>
 
 #include "api/database.h"
-#include "exec/scan.h"
 #include "storage/sort_util.h"
 
 namespace stratica {
 namespace {
 
 // One query shape of the sweep. `expect_encoded` marks shapes that must
-// touch an RLE/dict fast path when the toggle is on (predicate on an RLE
-// or sorted-dict column, group-by on a dict or RLE key, global aggregate
+// touch an RLE/dict fast path on the pinned-encoding table (predicate on an
+// RLE or sorted-dict column, group-by on a dict or RLE key, global aggregate
 // over encoded inputs). `expect_encoded_nulls` is the same expectation for
 // the NULL-bearing table: RLE blocks with NULLs decode flat (the stored
 // null section is row-parallel), so only the NOT NULL RLE column and the
@@ -72,17 +74,18 @@ class CompressedExecFixture : public ::testing::Test {
     opts.num_nodes = 1;
     opts.k_safety = 0;
     db_ = std::make_unique<Database>(opts);
-    MakeTable("t", /*with_nulls=*/false);
-    MakeTable("tn", /*with_nulls=*/true);
+    MakeTable("t", /*with_nulls=*/false, /*plain=*/false);
+    MakeTable("t_plain", /*with_nulls=*/false, /*plain=*/true);
+    MakeTable("tn", /*with_nulls=*/true, /*plain=*/false);
+    MakeTable("tn_plain", /*with_nulls=*/true, /*plain=*/true);
     EXPECT_TRUE(db_->RunTupleMover().ok());
   }
 
-  ~CompressedExecFixture() override { SetEncodedExecutionEnabled(true); }
-
   // Column encodings are pinned so every sweep shape exercises a known
   // representation: k2/k16 RLE (they lead the sort order), s BlockDict,
-  // v delta, f/id plain.
-  void MakeTable(const std::string& name, bool with_nulls) {
+  // v delta, f/id plain. With `plain` every column is stored kPlain — the
+  // twin the sweep compares against.
+  void MakeTable(const std::string& name, bool with_nulls, bool plain) {
     TableDef t;
     t.name = name;
     t.columns = {{"k2", TypeId::kInt64, false}, {"k16", TypeId::kInt64, true},
@@ -97,6 +100,9 @@ class CompressedExecFixture : public ::testing::Test {
                  {"v", -1, EncodingId::kDeltaValue},
                  {"f", -1, EncodingId::kPlain},
                  {"id", -1, EncodingId::kPlain}};
+    if (plain) {
+      for (auto& c : p.columns) c.encoding = EncodingId::kPlain;
+    }
     p.sort_columns = {0, 1};
     p.is_super = true;
     p.segmentation.expr = Func(FuncKind::kHash, {Col("id")});
@@ -111,7 +117,7 @@ class CompressedExecFixture : public ::testing::Test {
       rows.columns[2].strings.push_back("x" + std::to_string(i % 8));
       rows.columns[3].ints.push_back(i);
       // Quarters are exact in double, so sums are order-independent and
-      // both execution modes produce bit-identical aggregates.
+      // both tables produce bit-identical aggregates.
       rows.columns[4].doubles.push_back((i % 97) * 0.25);
       rows.columns[5].ints.push_back(i);
       if (with_nulls) {
@@ -127,10 +133,14 @@ class CompressedExecFixture : public ::testing::Test {
     ASSERT_TRUE(db_->Load(name, rows).ok());
   }
 
-  QueryResult RunWith(bool encoded, const std::string& sql) {
-    SetEncodedExecutionEnabled(encoded);
+  /// Run `sql` and return its result; `*encoded_rows` receives how many
+  /// rows the query processed on an encoded fast path.
+  QueryResult Run(const std::string& sql, uint64_t* encoded_rows = nullptr) {
+    uint64_t before = db_->stats()->rows_processed_encoded.load();
     auto result = db_->Execute(sql);
-    SetEncodedExecutionEnabled(true);
+    if (encoded_rows != nullptr) {
+      *encoded_rows = db_->stats()->rows_processed_encoded.load() - before;
+    }
     EXPECT_TRUE(result.ok()) << sql << "\n" << result.status().ToString();
     return result.ok() ? std::move(result).value() : QueryResult{};
   }
@@ -154,13 +164,14 @@ class CompressedExecFixture : public ::testing::Test {
   void SweepTable(const std::string& table, bool nullable) {
     for (const SweepQuery& q : kSweep) {
       std::string sql = Format(q.sql, table);
-      uint64_t before = db_->stats()->rows_processed_encoded.load();
-      QueryResult encoded = RunWith(true, sql);
-      uint64_t delta = db_->stats()->rows_processed_encoded.load() - before;
-      QueryResult decoded = RunWith(false, sql);
-      ExpectSameResults(encoded, decoded, sql);
+      std::string twin_sql = Format(q.sql, table + "_plain");
+      uint64_t encoded_rows = 0, twin_encoded_rows = 0;
+      QueryResult encoded = Run(sql, &encoded_rows);
+      QueryResult twin = Run(twin_sql, &twin_encoded_rows);
+      ExpectSameResults(encoded, twin, sql);
+      EXPECT_EQ(twin_encoded_rows, 0u) << twin_sql << " is not a plain oracle";
       if (nullable ? q.expect_encoded_nulls : q.expect_encoded) {
-        EXPECT_GT(delta, 0u) << sql << " did not hit an encoded fast path";
+        EXPECT_GT(encoded_rows, 0u) << sql << " did not hit an encoded fast path";
       }
     }
   }
@@ -181,7 +192,7 @@ TEST_F(CompressedExecFixture, DifferentialSweepWithNulls) {
 // dict blocks flow into the operators without expansion.
 TEST_F(CompressedExecFixture, DecodeElisionCounterMoves) {
   uint64_t before = db_->stats()->decode_elided_bytes.load();
-  RunWith(true, "SELECT s, COUNT(*) FROM t WHERE k2 = 1 GROUP BY s ORDER BY s");
+  Run("SELECT s, COUNT(*) FROM t WHERE k2 = 1 GROUP BY s ORDER BY s");
   EXPECT_GT(db_->stats()->decode_elided_bytes.load(), before);
 }
 
@@ -223,7 +234,8 @@ TEST(MorselBypassTest, OrderCarryingScanRecordsBypass) {
 }
 
 // Sorted-dictionary sort keys: a dict-coded block sorts by codes without
-// materializing values; the permutation must match the comparator order.
+// materializing values; the permutation must match a std::stable_sort
+// oracle under the row comparator.
 TEST(CompressedSortTest, SortedDictPermutationMatchesComparator) {
   // Build a dict-coded string column by hand: sorted dict, shuffled codes.
   ColumnVector col(TypeId::kString);
@@ -241,10 +253,12 @@ TEST(CompressedSortTest, SortedDictPermutationMatchesComparator) {
 
   std::vector<SortKey> keys = {{0, false}, {1, true}};
   auto normalized = ComputeSortPermutationDirected(block, keys);
-  SetNormalizedKeySortEnabled(false);
-  auto comparator = ComputeSortPermutationDirected(block, keys);
-  SetNormalizedKeySortEnabled(true);
-  EXPECT_EQ(normalized, comparator);
+  std::vector<uint32_t> oracle(block.NumRows());
+  std::iota(oracle.begin(), oracle.end(), 0);
+  std::stable_sort(oracle.begin(), oracle.end(), [&](uint32_t a, uint32_t b) {
+    return CompareRowsDirected(block, a, block, b, keys) < 0;
+  });
+  EXPECT_EQ(normalized, oracle);
 }
 
 }  // namespace

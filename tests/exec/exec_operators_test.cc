@@ -3,6 +3,8 @@
 // hash->merge switch), sort spill, analytic windows, exchanges.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "cluster/cluster.h"
 #include "exec/analytic.h"
 #include "exec/exchange.h"
@@ -21,8 +23,8 @@ class ExecFixture : public ::testing::Test {
     ccfg.num_nodes = 1;
     ccfg.k_safety = 0;
     ccfg.direct_ros_row_threshold = 1000000;
-    // Single local segment => one container after moveout, so the RLE
-    // passthrough path (single sorted source) engages.
+    // Single local segment => one container after moveout, so a sorted scan
+    // has a single source and can still emit encoded RLE runs.
     ccfg.local_segments_per_node = 1;
     cluster_ = std::make_unique<Cluster>(ccfg, &fs_, &catalog_);
     TableDef t;
@@ -170,7 +172,7 @@ TEST_F(ExecFixture, HashGroupBySpillsUnderTinyBudgetSameAnswer) {
 
 TEST_F(ExecFixture, PipelinedGroupByConsumesRleRuns) {
   ScanSpec sspec = BaseScan();
-  sspec.rle_passthrough = true;
+  sspec.encoded_output = true;
   sspec.sorted_output = true;
   sspec.sort_key_outputs = {0};
   GroupBySpec spec;
@@ -373,16 +375,14 @@ TEST_F(ExecFixture, AnalyticWindowFunctions) {
 }
 
 TEST_F(ExecFixture, RepartitionExchangeParallelGroupBy) {
-  // Figure 3 shape: StorageUnion resegments to parallel GroupBys whose
-  // results merge through a ParallelUnion.
-  auto snap = ps_->GetSnapshot(ctx_.epoch);
-  auto regions = PlanScanRegions(snap, 2);
+  // Figure 3 shape: two scans sharing one morsel dispenser feed a
+  // StorageUnion that resegments to parallel GroupBys whose results merge
+  // through a ParallelUnion.
+  auto morsels = std::make_shared<MorselDispenser>(2);
   std::vector<OperatorPtr> producers;
-  for (auto& region_list : regions) {
+  for (int p = 0; p < 2; ++p) {
     ScanSpec s = BaseScan();
-    s.use_regions = true;
-    s.regions = region_list;
-    s.include_wos = producers.empty();
+    s.morsels = morsels;
     producers.push_back(std::make_unique<ScanOperator>(s));
   }
   auto consumers = MakeRepartitionExchange(std::move(producers), 3, {0},
@@ -510,20 +510,18 @@ TEST_F(LateMatFixture, StatsProveSelectiveDecode) {
   EXPECT_GT(stats_.bytes_read.load(), 0u);
   EXPECT_EQ(stats_.rows_scanned.load(), 40000u);
 
-  // The eager A/B knob pays for every payload block.
-  ExecStats eager_stats;
-  ExecContext eager_ctx = ctx_;
-  eager_ctx.stats = &eager_stats;
-  spec.eager_decode = true;
-  ScanOperator eager(spec);
-  auto eager_rows = DrainOperator(&eager, &eager_ctx);
-  ASSERT_TRUE(eager_rows.ok());
-  EXPECT_EQ(eager_rows.value().NumRows(), 100u);
-  EXPECT_EQ(eager_stats.payload_bytes_skipped.load(), 0u);
-  EXPECT_GT(eager_stats.bytes_read.load(), stats_.bytes_read.load());
+  // Reading every block of every column would fetch all encoded bytes of the
+  // projection; skipping dead blocks' payload must fetch strictly less.
+  uint64_t all_bytes = 0;
+  for (const auto& c : ps_->Containers()) {
+    for (const auto& col : c->columns) {
+      for (const auto& b : col.meta.blocks) all_bytes += b.encoded_bytes;
+    }
+  }
+  EXPECT_LT(stats_.bytes_read.load(), all_bytes);
 }
 
-TEST_F(LateMatFixture, MatchesEagerWithDeletesEpochPredicateAndSip) {
+TEST_F(LateMatFixture, MatchesModelWithDeletesEpochPredicateAndSip) {
   // Build a container with per-row epochs: two merged loads, then a delete,
   // then a third load merged on top, scanned at the delete's epoch so all
   // four filters (epoch, deletes, predicate, SIP) are live at once.
@@ -552,9 +550,9 @@ TEST_F(LateMatFixture, MatchesEagerWithDeletesEpochPredicateAndSip) {
   // Epoch e_del: batches 1+2 visible, deletes visible, batch 3 not yet.
   ctx_.epoch = e_del.value();
 
-  auto run = [&](bool eager) {
+  RowBlock late;
+  {
     ScanSpec spec = BaseScan();
-    spec.eager_decode = eager;
     spec.predicate = BoundPred(Cmp(CompareOp::kLt, Col("k"), Lit(Value::Int64(5000))));
     auto sip = std::make_shared<SipFilter>();
     sip->probe_columns = {0};
@@ -571,19 +569,25 @@ TEST_F(LateMatFixture, MatchesEagerWithDeletesEpochPredicateAndSip) {
                               build, std::vector<std::string>{"bk"}),
                           jspec);
     auto rows = DrainOperator(&join, &ctx_);
-    EXPECT_TRUE(rows.ok());
-    return rows.value();
-  };
-
-  RowBlock late = run(false);
-  RowBlock eager = run(true);
-  // k < 5000, k % 3 == 0 (SIP+join), k % 7 != 0 (deleted): 1667 - 239 = 1428.
-  size_t expected = 0;
-  for (int64_t k = 0; k < 5000; k += 3) expected += (k % 7 != 0);
-  EXPECT_EQ(late.NumRows(), expected);
-  EXPECT_EQ(eager.NumRows(), expected);
-  ASSERT_EQ(late.NumRows(), eager.NumRows());
-  EXPECT_EQ(late.ToString(late.NumRows() + 1), eager.ToString(eager.NumRows() + 1));
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    late = std::move(rows).value();
+  }
+  // The analytic model of the surviving rows: k < 5000 (predicate),
+  // k % 3 == 0 (SIP + join), k % 7 != 0 (deleted), each exactly once, with
+  // payloads v = 2k and s = "p<k%10>": 1667 - 239 = 1428 rows.
+  std::set<int64_t> want;
+  for (int64_t k = 0; k < 5000; k += 3) {
+    if (k % 7 != 0) want.insert(k);
+  }
+  ASSERT_EQ(late.NumRows(), want.size());
+  std::set<int64_t> got;
+  for (size_t r = 0; r < late.NumRows(); ++r) {
+    int64_t k = late.columns[0].ints[r];
+    EXPECT_TRUE(got.insert(k).second) << "duplicate k " << k;
+    EXPECT_EQ(late.columns[1].ints[r], 2 * k);
+    EXPECT_EQ(late.columns[2].strings[r], "p" + std::to_string(k % 10));
+  }
+  EXPECT_EQ(got, want);
 
   // Sanity: the epoch filter is really engaged — at the final epoch the
   // third batch's keys join too (none pass k < 5000, so instead check a

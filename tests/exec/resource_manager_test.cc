@@ -78,28 +78,34 @@ TEST(ResourceManagerTest, FifoOrderIsStrict) {
   ResourceManager rm(Cfg(10 * kMB));
   auto holder = rm.Admit(9 * kMB);
   ASSERT_TRUE(holder.ok());
+  // Admit counts a request in `queued` as soon as it has to wait.
+  auto wait_queued = [&](uint64_t n) {
+    while (rm.stats().queued < n) std::this_thread::yield();
+  };
 
   std::atomic<int> order{0};
   int big_rank = -1, small_rank = -1;
   std::thread big([&] {
-    auto t = rm.Admit(8 * kMB);  // does not fit until holder releases
+    // The whole pool: waits for holder, and once admitted leaves no room
+    // for anyone until it has recorded its rank and released.
+    auto t = rm.Admit(10 * kMB);
     ASSERT_TRUE(t.ok());
     big_rank = order.fetch_add(1);
   });
-  // Give `big` time to reach the head of the queue.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  wait_queued(1);  // big is at the head of the queue
   std::thread small([&] {
     auto t = rm.Admit(1 * kMB);  // would fit right now, but arrived later
     ASSERT_TRUE(t.ok());
     small_rank = order.fetch_add(1);
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  wait_queued(2);
   // Strict FIFO: the small request must still be queued behind big.
   EXPECT_EQ(order.load(), 0);
   holder.value().Release();
   big.join();
   small.join();
-  EXPECT_LT(big_rank, small_rank);
+  EXPECT_EQ(big_rank, 0);
+  EXPECT_EQ(small_rank, 1);
 }
 
 TEST(ResourceManagerTest, ConcurrencySlotsCapActiveQueries) {

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <vector>
 
 #include "api/database.h"
 #include "exec/resource_manager.h"
@@ -97,6 +98,21 @@ TEST(SchedulerTest, PinnedThreadsAreReused) {
     if (!reused) std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_TRUE(reused);
+}
+
+TEST(SchedulerTest, DestroyWithParkedPinnedThreads) {
+  // Pinned threads park on the pinned-pool flag while the destructor stops
+  // the workers: shutdown must wake and join both without a data race
+  // (the TSan lane runs this suite).
+  for (int round = 0; round < 20; ++round) {
+    Scheduler pool(2);
+    std::vector<Scheduler::Pinned> handles;
+    for (int i = 0; i < 3; ++i) handles.push_back(pool.StartPinned([] {}));
+    for (auto& h : handles) h.Join();
+    Scheduler::TaskSet tasks(&pool);
+    for (int i = 0; i < 8; ++i) tasks.Submit([] {});
+    tasks.Wait();
+  }
 }
 
 TEST(AllowedFanoutTest, MapsGrantToFanout) {

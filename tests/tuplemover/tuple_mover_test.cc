@@ -1,9 +1,13 @@
-// Tuple mover tests (DESIGN.md §8): the loser-tree moveout/mergeout path
-// must produce byte-identical container files, delete vectors and stats to
-// the legacy comparator path, including delete re-targeting and AHM purges.
+// Tuple mover tests (DESIGN.md §8), checked against a model of the
+// workload rather than against another implementation: every row carries a
+// unique id, and after moveout/mergeout the containers must hold exactly the
+// ids the model says survive, sorted on the projection's sort order, with
+// purge counts and re-targeted delete vectors matching the deletes issued.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <set>
 
 #include "common/rng.h"
 #include "storage/projection_storage.h"
@@ -22,12 +26,16 @@ struct MoverWorld {
   std::unique_ptr<ProjectionStorage> ps;
   std::unique_ptr<TupleMover> mover;
 
-  explicit MoverWorld(bool use_loser_tree) {
+  // The model: ids (column v) of every inserted row, and the ids deleted in
+  // each delete round.
+  std::set<int64_t> inserted;
+  std::set<int64_t> deleted[2];
+
+  MoverWorld() {
     tm = std::make_unique<TransactionManager>(&epochs, &locks);
     TupleMoverConfig cfg;
     cfg.strata_base_bytes = 16 << 10;
     cfg.merge_fanin_min = 2;
-    cfg.use_loser_tree = use_loser_tree;
     mover = std::make_unique<TupleMover>(&epochs, cfg);
     ProjectionStorageConfig pcfg;
     pcfg.projection = "p";
@@ -39,25 +47,27 @@ struct MoverWorld {
     ps = std::make_unique<ProjectionStorage>(&fs, "node0/p", pcfg);
   }
 
-  /// Identical deterministic workload on every world: batches of skewed
-  /// keys (duplicates across and within batches), per-batch moveout, some
-  /// committed deletes, partial AHM advance, then mergeout to quiescence.
+  /// Batches of skewed keys (duplicates across and within batches) with
+  /// per-batch moveout, committed deletes in two rounds, an AHM between the
+  /// rounds, then mergeout to quiescence.
   void RunWorkload() {
     Rng rng(77);
     for (int batch = 0; batch < 6; ++batch) {
       RowBlock rows({TypeId::kInt64, TypeId::kString, TypeId::kInt64});
       for (int i = 0; i < 500; ++i) {
+        int64_t id = batch * 1000 + i;
         rows.columns[0].ints.push_back(rng.Range(0, 40));
         rows.columns[1].strings.push_back(rng.RandomString(rng.Uniform(5)));
-        rows.columns[2].ints.push_back(batch * 1000 + i);
+        rows.columns[2].ints.push_back(id);
+        inserted.insert(id);
       }
       auto txn = tm->Begin();
       ASSERT_TRUE(ps->InsertWos(std::move(rows), txn.get()).ok());
       ASSERT_TRUE(tm->Commit(txn).ok());
       ASSERT_TRUE(mover->Moveout(ps.get()).ok());
     }
-    // Committed deletes on the first two containers: some will purge (AHM
-    // passes their epoch), some must re-target to the merged container.
+    // Committed deletes on the first two containers; the model records the
+    // id at every deleted position.
     auto containers = ps->Containers();
     ASSERT_GE(containers.size(), 2u);
     std::sort(containers.begin(), containers.end(),
@@ -65,10 +75,13 @@ struct MoverWorld {
                 return a->id < b->id;
               });
     for (int round = 0; round < 2; ++round) {
+      RowBlock rows;
+      ASSERT_TRUE(ReadRosContainer(&fs, *containers[round], &rows, nullptr).ok());
       auto txn = tm->Begin();
       std::vector<uint64_t> positions;
       for (uint64_t p = static_cast<uint64_t>(round); p < 60; p += 7) {
         positions.push_back(p);
+        deleted[round].insert(rows.columns[2].ints[p]);
       }
       ASSERT_TRUE(
           ps->AddDeletes(containers[round]->id, std::move(positions), txn.get()).ok());
@@ -81,71 +94,54 @@ struct MoverWorld {
   }
 };
 
-std::map<std::string, std::string> AllFiles(const MemFileSystem& fs) {
-  std::map<std::string, std::string> files;
-  auto list = fs.List("");
-  EXPECT_TRUE(list.ok());
-  for (const auto& path : list.value()) {
-    auto data = fs.ReadFile(path);
-    EXPECT_TRUE(data.ok());
-    files[path] = data.value();
-  }
-  return files;
-}
+TEST(TupleMoverModelTest, MergeoutMatchesModel) {
+  MoverWorld world;
+  world.RunWorkload();
+  const TupleMoverStats& stats = world.mover->stats();
+  EXPECT_GT(stats.mergeouts, 0u);
+  // Exactly the rows deleted at or before the AHM were purged.
+  EXPECT_EQ(stats.rows_purged, world.deleted[0].size());
 
-TEST(TupleMoverMergePathTest, LoserTreeByteIdenticalToComparatorPath) {
-  MoverWorld fast(/*use_loser_tree=*/true);
-  MoverWorld legacy(/*use_loser_tree=*/false);
-  fast.RunWorkload();
-  legacy.RunWorkload();
-
-  // Same work done...
-  EXPECT_GT(fast.mover->stats().mergeouts, 0u);
-  EXPECT_GT(fast.mover->stats().rows_purged, 0u);
-  EXPECT_EQ(fast.mover->stats().mergeouts, legacy.mover->stats().mergeouts);
-  EXPECT_EQ(fast.mover->stats().rows_merged, legacy.mover->stats().rows_merged);
-  EXPECT_EQ(fast.mover->stats().rows_purged, legacy.mover->stats().rows_purged);
-  EXPECT_EQ(fast.ps->NumContainers(), legacy.ps->NumContainers());
-
-  // ...and byte-identical artifacts: every container data/index/meta file.
-  auto fast_files = AllFiles(fast.fs);
-  auto legacy_files = AllFiles(legacy.fs);
-  ASSERT_EQ(fast_files.size(), legacy_files.size());
-  for (const auto& [path, data] : legacy_files) {
-    auto it = fast_files.find(path);
-    ASSERT_NE(it, fast_files.end()) << "missing " << path;
-    EXPECT_EQ(it->second, data) << "content differs: " << path;
-  }
-
-  // Surviving (post-AHM) deletes re-targeted identically.
-  auto dv_of = [](ProjectionStorage* ps) {
-    std::vector<std::pair<uint64_t, Epoch>> all;
-    for (const auto& c : ps->Containers()) {
-      for (const auto& d : ps->ContainerDeleteChunks(c->id)) {
-        for (size_t i = 0; i < d->positions.size(); ++i) {
-          all.emplace_back(d->positions[i], d->epochs[i]);
-        }
+  std::vector<int64_t> stored;    // ids physically present, with repeats
+  std::set<int64_t> delete_targets;  // ids the surviving deletes point at
+  for (const auto& c : world.ps->Containers()) {
+    RowBlock rows;
+    std::vector<Epoch> epochs;
+    ASSERT_TRUE(ReadRosContainer(&world.fs, *c, &rows, &epochs).ok());
+    EXPECT_TRUE(IsSorted(rows, {0, 1})) << "container " << c->id;
+    for (size_t r = 0; r < rows.NumRows(); ++r) stored.push_back(rows.columns[2].ints[r]);
+    for (const auto& d : world.ps->ContainerDeleteChunks(c->id)) {
+      for (uint64_t pos : d->positions) {
+        ASSERT_LT(pos, rows.NumRows()) << "container " << c->id;
+        delete_targets.insert(rows.columns[2].ints[pos]);
       }
     }
-    std::sort(all.begin(), all.end());
-    return all;
-  };
-  auto fast_dvs = dv_of(fast.ps.get());
-  EXPECT_FALSE(fast_dvs.empty());
-  EXPECT_EQ(fast_dvs, dv_of(legacy.ps.get()));
+  }
+  // Live ids = inserted minus purged, each exactly once.
+  std::vector<int64_t> want;
+  std::set_difference(world.inserted.begin(), world.inserted.end(),
+                      world.deleted[0].begin(), world.deleted[0].end(),
+                      std::back_inserter(want));
+  std::sort(stored.begin(), stored.end());
+  EXPECT_EQ(stored, want);
+  // Every surviving delete points at a round-1 id, and none was lost.
+  EXPECT_EQ(delete_targets, world.deleted[1]);
 }
 
-TEST(TupleMoverMergePathTest, MoveoutProducesSortedContainers) {
-  MoverWorld world(/*use_loser_tree=*/true);
+TEST(TupleMoverModelTest, MoveoutSortsAndKeepsArrivalOrderOfEqualKeys) {
+  MoverWorld world;
   Rng rng(5);
-  // Several committed chunks in one moveout: the per-chunk-sort + k-way
-  // merge path must still produce a fully sorted container.
-  for (int chunk = 0; chunk < 4; ++chunk) {
+  // Several committed chunks in one moveout: the per-chunk sort + k-way
+  // merge must produce one fully sorted container in which rows with equal
+  // keys keep their WOS arrival order (v counts arrivals). A two-letter
+  // string domain makes equal (k, s) keys common within and across chunks.
+  constexpr int kChunks = 4, kRowsPerChunk = 300;
+  for (int chunk = 0; chunk < kChunks; ++chunk) {
     RowBlock rows({TypeId::kInt64, TypeId::kString, TypeId::kInt64});
-    for (int i = 0; i < 300; ++i) {
+    for (int i = 0; i < kRowsPerChunk; ++i) {
       rows.columns[0].ints.push_back(rng.Range(0, 25));
-      rows.columns[1].strings.push_back(rng.RandomString(3));
-      rows.columns[2].ints.push_back(i);
+      rows.columns[1].strings.push_back(std::string(1, 'a' + rng.Uniform(2)));
+      rows.columns[2].ints.push_back(chunk * kRowsPerChunk + i);
     }
     auto txn = world.tm->Begin();
     ASSERT_TRUE(world.ps->InsertWos(std::move(rows), txn.get()).ok());
@@ -153,12 +149,24 @@ TEST(TupleMoverMergePathTest, MoveoutProducesSortedContainers) {
   }
   ASSERT_TRUE(world.mover->Moveout(world.ps.get()).ok());
   EXPECT_EQ(world.ps->WosRowCount(), 0u);
-  for (const auto& c : world.ps->Containers()) {
-    RowBlock rows;
-    std::vector<Epoch> epochs;
-    ASSERT_TRUE(ReadRosContainer(&world.fs, *c, &rows, &epochs).ok());
-    EXPECT_TRUE(IsSorted(rows, {0, 1}));
+  auto containers = world.ps->Containers();
+  ASSERT_EQ(containers.size(), 1u);
+  RowBlock rows;
+  std::vector<Epoch> epochs;
+  ASSERT_TRUE(ReadRosContainer(&world.fs, *containers[0], &rows, &epochs).ok());
+  ASSERT_EQ(rows.NumRows(), static_cast<size_t>(kChunks * kRowsPerChunk));
+  EXPECT_TRUE(IsSorted(rows, {0, 1}));
+  size_t ties = 0;
+  for (size_t r = 1; r < rows.NumRows(); ++r) {
+    if (CompareRows(rows, r - 1, rows, r, {0, 1}, {0, 1}) != 0) continue;
+    ++ties;
+    ASSERT_LT(rows.columns[2].ints[r - 1], rows.columns[2].ints[r])
+        << "equal keys out of arrival order at row " << r;
   }
+  EXPECT_GT(ties, 0u);
+  std::vector<int64_t> ids = rows.columns[2].ints;
+  std::sort(ids.begin(), ids.end());
+  for (size_t i = 0; i < ids.size(); ++i) ASSERT_EQ(ids[i], static_cast<int64_t>(i));
 }
 
 }  // namespace
